@@ -924,9 +924,17 @@ fn main() {
             }
             drop(gw); // orderly shutdown: pending group-commit frames sync
 
+            // What a restart reads: commit records hold the batch and the
+            // certificate's chain link, so the cold log grows O(batch)
+            // per commit whatever the document size.
+            let wal_bytes = std::fs::metadata(xuc_service::persist::wal_path(&dir))
+                .expect("journal written")
+                .len() as f64;
+            rep.metric("E-REC", &format!("wal_bytes_{name}"), wal_bytes);
+
             // Discarded warm-up: the first recovery in a process pays
-            // page-cache/heap-growth costs (the cold WAL here is ~260 MB)
-            // that would otherwise inflate whichever arm runs first.
+            // page-cache/heap-growth costs that would otherwise inflate
+            // whichever arm runs first.
             drop(
                 Gateway::recover_with(Signer::new(key), AdmissionMode::Delta, &dir, opts)
                     .expect("recovery"),
@@ -962,7 +970,7 @@ fn main() {
                 "cadence",
                 cadence.unwrap_or(0) as usize,
                 t,
-                &format!("{note} ({commits} commits)"),
+                &format!("{note} ({commits} commits, WAL {wal_bytes:.0} B)"),
             );
             rep.metric("E-REC", &format!("recover_us_{name}"), t);
             times.push(t);

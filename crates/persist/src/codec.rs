@@ -138,6 +138,19 @@ impl<'a> Decoder<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
+    /// Reads a u32 element count and checks it against the bytes left:
+    /// each element takes at least `min_size` bytes, so a count the input
+    /// cannot hold fails with [`DecodeError::Truncated`] before anything
+    /// is allocated for it. A hostile length prefix can then never make a
+    /// decode reserve more than a constant times the input's size.
+    pub fn count(&mut self, min_size: usize) -> Result<usize, DecodeError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_size) > self.data.len() - self.pos {
+            return Err(DecodeError::Truncated);
+        }
+        Ok(n)
+    }
+
     pub fn str(&mut self) -> Result<&'a str, DecodeError> {
         let len = self.u32()? as usize;
         std::str::from_utf8(self.take(len)?).map_err(|_| DecodeError::BadString)
@@ -154,6 +167,19 @@ impl<'a> Decoder<'a> {
     }
 }
 
+/// Smallest encodings of the length-prefixed elements, the bounds
+/// [`Decoder::count`] checks prefixes against: a tree node is an id, a
+/// parent index and a label length; an update a tag and a node id; a set
+/// member an id and a label length; a constraint its text length; a
+/// certificate entry a constraint, a set size and a MAC.
+const MIN_NODE: usize = 8 + 4 + 4;
+const MIN_UPDATE: usize = 1 + 8;
+const MIN_SET_MEMBER: usize = 8 + 4;
+const MIN_CONSTRAINT: usize = 4;
+const MIN_CERT_ENTRY: usize = MIN_CONSTRAINT + 4 + 8;
+/// A node set is at least its own count.
+pub(crate) const MIN_NODE_SET: usize = 4;
+
 /// Encodes `tree` as its preorder snapshot (see the module docs).
 pub fn encode_tree(e: &mut Encoder, tree: &DataTree) {
     let snap = tree.preorder_snapshot();
@@ -168,7 +194,7 @@ pub fn encode_tree(e: &mut Encoder, tree: &DataTree) {
 /// Decodes a tree encoded by [`encode_tree`], reproducing exact node ids,
 /// labels and sibling order.
 pub fn decode_tree(d: &mut Decoder) -> Result<DataTree, DecodeError> {
-    let n = d.u32()? as usize;
+    let n = d.count(MIN_NODE)?;
     if n == 0 {
         return Err(DecodeError::BadTree("empty tree".into()));
     }
@@ -262,7 +288,7 @@ pub fn encode_updates(e: &mut Encoder, updates: &[Update]) {
 }
 
 pub fn decode_updates(d: &mut Decoder) -> Result<Vec<Update>, DecodeError> {
-    let n = d.u32()? as usize;
+    let n = d.count(MIN_UPDATE)?;
     (0..n).map(|_| decode_update(d)).collect()
 }
 
@@ -275,7 +301,7 @@ pub fn encode_node_set(e: &mut Encoder, set: &BTreeSet<NodeRef>) {
 }
 
 pub fn decode_node_set(d: &mut Decoder) -> Result<BTreeSet<NodeRef>, DecodeError> {
-    let n = d.u32()? as usize;
+    let n = d.count(MIN_SET_MEMBER)?;
     let mut set = BTreeSet::new();
     for _ in 0..n {
         let id = NodeId::from_raw(d.u64()?);
@@ -304,7 +330,7 @@ pub fn encode_suite(e: &mut Encoder, suite: &[Constraint]) {
 }
 
 pub fn decode_suite(d: &mut Decoder) -> Result<Vec<Constraint>, DecodeError> {
-    let n = d.u32()? as usize;
+    let n = d.count(MIN_CONSTRAINT)?;
     (0..n).map(|_| decode_constraint(d)).collect()
 }
 
@@ -322,7 +348,7 @@ pub fn encode_certificate(e: &mut Encoder, cert: &Certificate) {
 pub fn decode_certificate(d: &mut Decoder) -> Result<Certificate, DecodeError> {
     let prev_digest = d.u64()?;
     let chain_tag = d.u64()?;
-    let n = d.u32()? as usize;
+    let n = d.count(MIN_CERT_ENTRY)?;
     let entries = (0..n)
         .map(|_| {
             let constraint = decode_constraint(d)?;
@@ -363,6 +389,20 @@ mod tests {
             let mut d = Decoder::new(&bytes[..cut]);
             assert!(decode_tree(&mut d).is_err(), "cut at {cut} must not decode");
         }
+    }
+
+    #[test]
+    fn hostile_length_prefix_is_an_error_not_an_allocation() {
+        // A 2^31-1 node count with no nodes behind it once made decode
+        // reserve 16 GiB and abort the process.
+        let hostile = [0xff, 0xff, 0xff, 0x7f];
+        assert_eq!(decode_tree(&mut Decoder::new(&hostile)).err(), Some(DecodeError::Truncated));
+        assert_eq!(decode_updates(&mut Decoder::new(&hostile)), Err(DecodeError::Truncated));
+        assert_eq!(decode_node_set(&mut Decoder::new(&hostile)), Err(DecodeError::Truncated));
+        assert_eq!(decode_suite(&mut Decoder::new(&hostile)).err(), Some(DecodeError::Truncated));
+        let mut cert = vec![0; 16];
+        cert.extend_from_slice(&hostile);
+        assert_eq!(decode_certificate(&mut Decoder::new(&cert)), Err(DecodeError::Truncated));
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl DocSnapshot {
         let commits = d.u64()?;
         let tree = decode_tree(&mut d)?;
         let suite = decode_suite(&mut d)?;
-        let n = d.u32()? as usize;
+        let n = d.count(crate::codec::MIN_NODE_SET)?;
         let base_sets =
             (0..n).map(|_| crate::decode_node_set(&mut d)).collect::<Result<Vec<_>, _>>()?;
         let cert = decode_certificate(&mut d)?;

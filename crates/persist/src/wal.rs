@@ -3,13 +3,23 @@
 //!
 //! # Frame format
 //!
-//! The file opens with the 8-byte magic `XUCWAL01`; every frame after it is
+//! The file opens with the 8-byte magic `XUCWAL02`; every frame after it is
 //!
 //! ```text
 //! [u32 payload length, LE][u64 FNV-1a-64 checksum of payload, LE][payload]
 //! ```
 //!
 //! where the payload is one [`WalRecord`] in the [`crate::codec`] encoding.
+//! A commit record holds the edit, not its result: the document, the
+//! commit number, the update batch and the certificate's chain link
+//! `(prev_digest, chain_tag)` — O(batch) bytes however large the signed
+//! range sets are. Replay re-derives the certificate and checks the link
+//! (see [`WalRecord::Commit`]).
+//!
+//! A file whose complete 8-byte header is not the current magic — an
+//! older format version such as `XUCWAL01`, or not a WAL at all — is
+//! refused with [`io::ErrorKind::InvalidData`] and left untouched; only a
+//! header cut short by a crash counts as a torn tail.
 //!
 //! # Torn-tail policy
 //!
@@ -32,8 +42,8 @@
 
 use crate::codec::{checksum64, Decoder, Encoder};
 use crate::{
-    decode_certificate, decode_suite, decode_tree, decode_updates, encode_certificate,
-    encode_suite, encode_tree, encode_updates, DecodeError,
+    decode_suite, decode_tree, decode_updates, encode_suite, encode_tree, encode_updates,
+    DecodeError,
 };
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -42,7 +52,7 @@ use xuc_core::Constraint;
 use xuc_sigstore::Certificate;
 use xuc_xtree::{DataTree, Update};
 
-const WAL_MAGIC: &[u8; 8] = b"XUCWAL01";
+const WAL_MAGIC: &[u8; 8] = b"XUCWAL02";
 const FRAME_HEADER: u64 = 4 + 8;
 
 /// One logged event. The WAL records *accepted* state transitions only —
@@ -57,14 +67,19 @@ pub enum WalRecord {
     /// (publish is deterministic), so it is not logged.
     Publish { doc: String, tree: DataTree, suite: Vec<Constraint> },
     /// Commit number `commit` of `doc`: the accepted update batch and the
-    /// certificate the gateway signed for the post-batch state. Replay
-    /// re-admits the batch through the live admission path and checks it
-    /// reproduces exactly this certificate.
+    /// certificate the gateway signed for the post-batch state. Only the
+    /// certificate's chain [`link`](Certificate::link) is encoded, so a
+    /// decoded `cert` is link-only (no entries). Replay re-admits the
+    /// batch through the live admission path, which re-derives the whole
+    /// certificate, and checks that its link equals this one.
     Commit { doc: String, commit: u64, updates: Vec<Update>, cert: Certificate },
 }
 
-/// Record equality is *exact*: trees compare by preorder snapshot (ids,
-/// labels **and** sibling order), certificates field-for-field.
+/// Record equality is equality of what the encoding keeps: trees compare
+/// by preorder snapshot (ids, labels **and** sibling order), suites and
+/// update batches exactly, and a commit's certificate by its chain
+/// [`link`](Certificate::link) alone — a full certificate equals its
+/// link-only decode.
 impl PartialEq for WalRecord {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
@@ -75,7 +90,7 @@ impl PartialEq for WalRecord {
             (
                 WalRecord::Commit { doc: a, commit: ca, updates: ua, cert: xa },
                 WalRecord::Commit { doc: b, commit: cb, updates: ub, cert: xb },
-            ) => a == b && ca == cb && ua == ub && xa == xb,
+            ) => a == b && ca == cb && ua == ub && xa.link() == xb.link(),
             _ => false,
         }
     }
@@ -103,7 +118,8 @@ impl WalRecord {
                 e.str(doc);
                 e.u64(*commit);
                 encode_updates(&mut e, updates);
-                encode_certificate(&mut e, cert);
+                e.u64(cert.prev_digest);
+                e.u64(cert.chain_tag);
             }
         }
         e.into_bytes()
@@ -122,7 +138,9 @@ impl WalRecord {
                 let doc = d.str()?.to_owned();
                 let commit = d.u64()?;
                 let updates = decode_updates(&mut d)?;
-                let cert = decode_certificate(&mut d)?;
+                let prev_digest = d.u64()?;
+                let chain_tag = d.u64()?;
+                let cert = Certificate { entries: Vec::new(), prev_digest, chain_tag };
                 WalRecord::Commit { doc, commit, updates, cert }
             }
             t => return Err(DecodeError::BadTag(t)),
@@ -146,7 +164,10 @@ pub struct WalScan {
 }
 
 /// Scans `path` frame by frame, stopping at the first torn or corrupted
-/// frame (see the module docs). A missing file is an empty log.
+/// frame (see the module docs). A missing file is an empty log; a file
+/// shorter than the magic is a torn header. A complete header other than
+/// the current magic is an [`io::ErrorKind::InvalidData`] error, so no
+/// caller truncates a log it cannot read.
 pub fn read_wal(path: &Path) -> io::Result<WalScan> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
@@ -155,9 +176,20 @@ pub fn read_wal(path: &Path) -> io::Result<WalScan> {
         }
         Err(e) => return Err(e),
     };
-    if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        // No intact header: treat the whole file as a torn tail.
+    let Some(header) = bytes.get(..WAL_MAGIC.len()) else {
+        // A crash cut the header short: the whole file is a torn tail.
         return Ok(WalScan { records: Vec::new(), valid_len: 0, torn: !bytes.is_empty() });
+    };
+    if header != WAL_MAGIC {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "{}: header {} is not this format's {}; the file is left as it is",
+                path.display(),
+                header.escape_ascii(),
+                WAL_MAGIC.escape_ascii()
+            ),
+        ));
     }
     let mut records = Vec::new();
     let mut pos = WAL_MAGIC.len();
@@ -250,7 +282,8 @@ pub struct WalWriter {
 impl WalWriter {
     /// Opens (creating if absent) the log at `path`, scans it, truncates
     /// any torn tail, and positions for appending. Returns the writer and
-    /// the durable records for replay.
+    /// the durable records for replay. A file [`read_wal`] refuses (another
+    /// format version, or not a WAL) is an error and is not written to.
     pub fn open(path: &Path, group_commit: usize) -> io::Result<(WalWriter, WalScan)> {
         let scan = read_wal(path)?;
         // truncate(false): the valid prefix must survive reopening — only
@@ -622,6 +655,71 @@ mod tests {
         assert!(scan.records.is_empty() && scan.torn);
         let (w, scan) = WalWriter::open(&path, 1).unwrap();
         assert!(scan.records.is_empty());
+        assert_eq!(w.durable_len(), WAL_MAGIC.len() as u64);
+    }
+
+    #[test]
+    fn commit_record_encodes_the_link_alone() {
+        let records = sample_records();
+        let WalRecord::Commit { doc, commit, updates, cert } = &records[1] else { unreachable!() };
+        assert!(!cert.entries.is_empty());
+        let link_only = WalRecord::Commit {
+            doc: doc.clone(),
+            commit: *commit,
+            updates: updates.clone(),
+            cert: cert.link_only(),
+        };
+        assert_eq!(records[1].encode(), link_only.encode(), "entries never reach the frame");
+        let back = WalRecord::decode(&records[1].encode()).unwrap();
+        let WalRecord::Commit { cert: decoded, .. } = &back else { unreachable!() };
+        assert!(decoded.entries.is_empty());
+        assert_eq!(decoded.link(), cert.link());
+        assert_eq!(back, records[1], "a commit compares by its link");
+        let mut forged = cert.clone();
+        forged.chain_tag ^= 1;
+        let forged = WalRecord::Commit {
+            doc: doc.clone(),
+            commit: *commit,
+            updates: updates.clone(),
+            cert: forged,
+        };
+        assert_ne!(back, forged);
+    }
+
+    #[test]
+    fn older_format_is_refused_and_left_untouched() {
+        // A version-1 log: its magic, then a commit frame that still
+        // carries the whole certificate.
+        let path = tmp("v1");
+        let WalRecord::Commit { doc, commit, updates, cert } = &sample_records()[1] else {
+            unreachable!()
+        };
+        let mut e = Encoder::new();
+        e.u8(2);
+        e.str(doc);
+        e.u64(*commit);
+        encode_updates(&mut e, updates);
+        crate::encode_certificate(&mut e, cert);
+        let payload = e.into_bytes();
+        let mut v1 = b"XUCWAL01".to_vec();
+        v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        v1.extend_from_slice(&checksum64(&payload).to_le_bytes());
+        v1.extend_from_slice(&payload);
+        std::fs::write(&path, &v1).unwrap();
+        assert_eq!(read_wal(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        let err = WalWriter::open(&path, 1).err().expect("a v1 log must not open");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("XUCWAL01"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), v1, "the refused log is byte-identical");
+
+        // A complete foreign header is refused alike; a header cut short
+        // is a torn tail.
+        std::fs::write(&path, b"NOTAWAL!").unwrap();
+        assert_eq!(WalWriter::open(&path, 1).err().unwrap().kind(), io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read(&path).unwrap(), b"NOTAWAL!");
+        std::fs::write(&path, &WAL_MAGIC[..5]).unwrap();
+        let (w, scan) = WalWriter::open(&path, 1).unwrap();
+        assert!(scan.torn && scan.records.is_empty());
         assert_eq!(w.durable_len(), WAL_MAGIC.len() as u64);
     }
 

@@ -117,13 +117,18 @@ fn assert_snap_eq(a: &DocSnapshot, b: &DocSnapshot) {
 }
 
 proptest! {
-    /// encode ∘ decode = id on WAL records (trees exact to sibling order,
-    /// certificates field-for-field).
+    /// encode ∘ decode = id on WAL records, up to what a record keeps:
+    /// trees exact to sibling order, and a commit's certificate as its
+    /// chain link (`WalRecord`'s equality compares exactly that). The
+    /// decoded certificate carries no entries.
     #[test]
     fn wal_record_round_trip(rec in record_strategy()) {
         let payload = rec.encode();
         let back = WalRecord::decode(&payload).unwrap();
         prop_assert!(back == rec, "decode(encode(r)) != r");
+        if let WalRecord::Commit { cert, .. } = &back {
+            prop_assert!(cert.entries.is_empty(), "a decoded commit is link-only");
+        }
     }
 
     /// encode ∘ decode = id on document snapshots.

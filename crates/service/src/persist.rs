@@ -19,11 +19,21 @@
 //!   as new, the whole log is truncated. Recovery cost is therefore
 //!   bounded by the snapshot cadence, not by history length (measured by
 //!   the E-REC experiment).
+//! * **Journal the edit, not the result.** A commit record holds the
+//!   update batch and the certificate's chain link `(prev_digest,
+//!   chain_tag)`, never the signed range sets: the certificate is a
+//!   deterministic function of the document, the suite and the previous
+//!   certificate, so replay re-derives it. A record costs O(batch) bytes,
+//!   not O(range size).
 //! * **Recovery = snapshots + replay.** `recover` loads snapshots,
 //!   re-runs the WAL tail through the *live* admission path
-//!   ([`Session`]), and cross-checks every replayed certificate against
-//!   the logged one — recovery that diverges from the original run is an
-//!   error, never a silent wrong state. The kill/restart differential
+//!   ([`Session`]), and checks every re-derived certificate's chain link
+//!   against the logged one. `prev_digest` is the unkeyed digest of the
+//!   predecessor's full content, so equal links check every earlier
+//!   certificate field for field, transitively; `chain_tag` MACs every
+//!   entry's set MAC, so it covers the last one. Recovery that diverges
+//!   from the original run is an error, never a silent wrong state. The
+//!   kill/restart differential
 //!   harness (`tests/differential.rs`) asserts byte-identical recovery
 //!   under injected write faults at several worker counts.
 //! * **Survive-the-fault journal.** A journal IO error is classified
@@ -263,7 +273,8 @@ impl Journal {
         Ok(())
     }
 
-    /// Appends an accepted commit. Caller holds the document's mutex, so
+    /// Appends an accepted commit: its batch and `cert`'s chain link (the
+    /// entries are not copied). Caller holds the document's mutex, so
     /// per-document log order equals store commit order. An `Err` means
     /// the commit is in memory but **not** durable — the gateway must
     /// degrade (the journaled-or-degraded invariant).
@@ -282,7 +293,7 @@ impl Journal {
             doc: id.as_str().to_owned(),
             commit,
             updates: updates.to_vec(),
-            cert: cert.clone(),
+            cert: cert.link_only(),
         };
         if let Err(e) = inner.writer.append(&rec) {
             // The frame made it into the buffer; only the auto-sync at
@@ -451,7 +462,7 @@ pub enum RecoverError {
     /// the live admission path disagree on an *accepted* batch.
     ReplayFailed { doc: String, commit: u64, error: String },
     /// Replay ran but did not reproduce the logged commit number or the
-    /// logged certificate (hash chain included).
+    /// logged certificate chain link `(prev_digest, chain_tag)`.
     Diverged { doc: String, commit: u64 },
     /// The durability directory contradicts itself: two snapshots, or a
     /// snapshot-plus-publish race, claim the same document id. Snapshot
@@ -534,8 +545,8 @@ fn update_max_id(u: &Update) -> u64 {
 ///    cache-shared automata);
 /// 2. replay the WAL's durable prefix through the live admission path,
 ///    skipping records a snapshot already covers (replay is idempotent),
-///    and cross-checking each replayed certificate — field for field,
-///    hash chain included — against the logged one;
+///    and checking that each re-derived certificate's chain link equals
+///    the logged one (see the module docs for what the link covers);
 /// 3. advance the node-id allocator past every persisted id, so
 ///    post-recovery `NodeId::fresh()` never collides with history.
 pub(crate) fn recover(
@@ -629,7 +640,7 @@ pub(crate) fn recover(
                         });
                     }
                 }
-                if d.certificate() != &cert {
+                if d.certificate().link() != cert.link() {
                     return Err(RecoverError::Diverged { doc, commit });
                 }
             }

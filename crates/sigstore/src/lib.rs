@@ -203,6 +203,27 @@ fn chain_payload(prev_digest: u64, entries: &[CertEntry]) -> Vec<u8> {
 }
 
 impl Certificate {
+    /// The chain link `(prev_digest, chain_tag)`: what a journal keeps of
+    /// a certificate it can re-derive. Two certificates of the same
+    /// document with equal links certify the same content: `prev_digest`
+    /// is the unkeyed [`digest`](Self::digest) of the predecessor's full
+    /// content, and `chain_tag` MACs this certificate's constraints and
+    /// every entry's set MAC.
+    pub fn link(&self) -> (u64, u64) {
+        (self.prev_digest, self.chain_tag)
+    }
+
+    /// A copy carrying only the [`link`](Self::link), with no entries.
+    /// It cannot be [`verify`](Self::verify)-ed; it is compared by link
+    /// against a re-derived certificate.
+    pub fn link_only(&self) -> Certificate {
+        Certificate {
+            entries: Vec::new(),
+            prev_digest: self.prev_digest,
+            chain_tag: self.chain_tag,
+        }
+    }
+
     /// An **unkeyed** content digest of this certificate — what the
     /// successor certificate stores as its `prev_digest`. Covers the
     /// predecessor link, every constraint, every signed set and every

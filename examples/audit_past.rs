@@ -8,10 +8,14 @@
 //!
 //! Part 2: the same catalog served by a **durable** gateway. Afterwards
 //! an auditor — with the verification key and the gateway's durability
-//! directory, but *no gateway* — replays the journal, re-derives every
-//! intermediate state, and checks every accepted state's certificate,
-//! each hash-linked to its predecessor: a tamper-evident chain over the
-//! full history.
+//! directory, but *no gateway* — replays the journal and re-derives every
+//! intermediate state and its certificate. The journal keeps only each
+//! certificate's chain link `(prev_digest, chain_tag)`; the auditor
+//! checks that the certificate it re-derives for each state, chained onto
+//! the one before, has exactly the journaled link. `chain_tag` is a MAC
+//! under the key, so a match proves the gateway signed exactly this
+//! state at exactly this place in the chain: a tamper-evident chain over
+//! the full history.
 //!
 //! Run with `cargo run --example audit_past`.
 
@@ -97,37 +101,42 @@ fn main() {
         scan.torn
     );
 
-    let mut state: Option<DataTree> = None;
+    // Certificates are deterministic: the auditor holding the key signs
+    // what the gateway signed for the same state and predecessor.
+    let certify = |tree: &DataTree, suite: &[Constraint], prev_digest: u64| {
+        let mut ev = Evaluator::new(tree);
+        let sets: Vec<_> = suite.iter().map(|c| ev.eval(&c.range)).collect();
+        Signer::new(key).certify_chained(suite, &sets, prev_digest)
+    };
+    let mut state: Option<(DataTree, &[Constraint])> = None;
     let mut prev_digest = 0u64;
     for rec in &scan.records {
         match rec {
             WalRecord::Publish { doc, tree, suite } => {
-                // The publish certificate is deterministic, so the
-                // auditor recomputes it to anchor the chain.
-                let mut ev = Evaluator::new(tree);
-                let sets: Vec<_> = suite.iter().map(|c| ev.eval(&c.range)).collect();
-                prev_digest = Signer::new(key).certify_precomputed(suite, &sets).digest();
-                state = Some(tree.clone());
+                // The publish certificate anchors the chain.
+                prev_digest = certify(tree, suite, 0).digest();
+                state = Some((tree.clone(), suite));
                 println!("  published {doc:?} under {} constraints", suite.len());
             }
             WalRecord::Commit { commit, updates, cert, .. } => {
-                let before = state.take().expect("publish precedes commits");
+                let (before, suite) = state.take().expect("publish precedes commits");
                 let after = apply_all(&before, updates).expect("logged batches re-apply");
                 // Every logged batch really respected the policy…
                 assert!(policy.iter().all(|c| c.satisfied_by(&before, &after)));
-                // …and its certificate signs exactly this state, chained
-                // onto the previous one.
-                cert.verify_chained(key, &after, prev_digest).expect("chain verifies");
+                // …and the certificate of exactly this state, chained
+                // onto the previous one, is the one the gateway signed.
+                let rederived = certify(&after, suite, prev_digest);
+                assert_eq!(rederived.link(), cert.link(), "journaled chain link re-derives");
                 println!(
                     "  commit {commit}: {} update(s), certificate chains onto {prev_digest:#018x}",
                     updates.len()
                 );
-                prev_digest = cert.digest();
-                state = Some(after);
+                prev_digest = rederived.digest();
+                state = Some((after, suite));
             }
         }
     }
-    println!("full history verified: every accepted state signed, every link intact");
+    println!("full history verified: every accepted state re-signed, every link matches");
 
     // Tamper-evidence: flip one byte in the last journal frame and the
     // scan refuses the forged suffix.
